@@ -10,6 +10,8 @@
 #                     //adavp:hotpath function gains a heap escape not in
 #                     the committed ESCAPES.baseline
 #   make cover        whole-tree coverage, failing below the COVER_FLOOR baseline
+#   make perfbench-test run the benchmark module's own tests (perfbench/ is a
+#                     nested module that `make test` does not reach)
 #   make bench-json   run the pixel-pipeline benchmark harness, write BENCH_pixel.json
 #   make loadgen-bench regenerate the committed serving-layer SLO artifact
 #                     (BENCH_serve.json) from the canonical loadgen matrix
@@ -30,7 +32,7 @@ GO ?= go
 # while a PR that lands a subsystem without tests fails the gate.
 COVER_FLOOR ?= 78.0
 
-.PHONY: build test race vet lint escapecheck cover check bench-json bench-json-smoke loadgen-bench loadgen-smoke soak clean
+.PHONY: build test race vet lint escapecheck cover check perfbench-test bench-json bench-json-smoke loadgen-bench loadgen-smoke soak clean
 
 build:
 	$(GO) build ./...
@@ -77,6 +79,19 @@ cover:
 	echo "total coverage: $$total% (floor $(COVER_FLOOR)%)"; \
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit !(t+0 >= f+0) }' \
 		|| { echo "coverage $$total% fell below the $(COVER_FLOOR)% floor"; exit 1; }
+
+# The benchmark module's tests — hook transparency, replay and the
+# BENCHMARK.json table check — in the environment perfbench/run.sh builds
+# in: Go caches, temporary and config files under $(PERFBENCH_OUT), no
+# network, no toolchain download, read-only module graph.
+PERFBENCH_OUT ?= $(CURDIR)/.bench_build
+perfbench-test:
+	mkdir -p $(PERFBENCH_OUT)/tmp $(PERFBENCH_OUT)/home
+	cd perfbench && HOME=$(PERFBENCH_OUT)/home XDG_CONFIG_HOME=$(PERFBENCH_OUT)/home/.config \
+		GOCACHE=$(PERFBENCH_OUT)/gocache GOMODCACHE=$(PERFBENCH_OUT)/gomodcache \
+		GOPATH=$(PERFBENCH_OUT)/gopath GOTMPDIR=$(PERFBENCH_OUT)/tmp \
+		GOENV=off GOWORK=off GOTOOLCHAIN=local GOPROXY=off GOFLAGS=-mod=readonly \
+		$(GO) test ./...
 
 # Full measurement run; results land in BENCH_pixel.json (committed, so perf
 # regressions show up in review as a diff). Covers per-kernel rows at

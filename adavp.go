@@ -196,16 +196,18 @@ type Options struct {
 	// the current setting, default NumCPU). The pool only affects wall
 	// time: kernels are bitwise-deterministic at any worker count.
 	Workers int
-	// PipelineDepth, when > 1, runs the staged frame-prefetch pipeline on
-	// the live paths: a pixel-mode RunLive stream renders up to PipelineDepth
-	// upcoming frames ahead of its detector/tracker threads, and a
-	// RunLiveMulti stream keeps that prefetch running even while blocked
-	// waiting for a shared detector slot — overlapping its frame builds with
-	// other streams' detections without ever touching the slot queue, so
-	// grant order and the fairness bound are unchanged. On the virtual-clock
-	// RunMulti the same depth enables the scheduler's prefetch accounting
-	// (frames banked while waiting), which never alters the schedule.
-	// Values <= 1 keep the sequential paths.
+	// PipelineDepth, when > 1, runs a frame-prefetch goroutine on the live
+	// pixel paths. A live pixel stream renders each frame at most once, and
+	// the prefetcher renders ahead only the frames its detector and tracker
+	// have declared they will read — the detector's predicted next fetch,
+	// then the tracker's plan — with at most PipelineDepth of them rendered
+	// and unread. A RunLiveMulti stream keeps that prefetch running even
+	// while blocked waiting for a shared detector slot — overlapping its
+	// frame renders with other streams' detections without ever touching
+	// the slot queue, so grant order and the fairness bound are unchanged.
+	// On the virtual-clock RunMulti the same depth enables the scheduler's
+	// prefetch accounting (frames banked while waiting), which never alters
+	// the schedule. Values <= 1 run no prefetch goroutine.
 	PipelineDepth int
 	// Obs, when set, receives the run's telemetry (see NewMetricsRegistry).
 	// Virtual-clock runs publish virtual timestamps and stay byte-for-byte

@@ -107,15 +107,16 @@ const (
 	// are bookkeeping about wasted prefetch work, never about outputs.
 	MetricPrefetchStale  = "adavp_prefetch_stale_cancelled_total"
 	MetricPrefetchRefill = "adavp_prefetch_refill_total"
-	// MetricPrefetchedWaiting counts frames whose prefetch (render + pyramid)
-	// completed while the stream's detector loop was blocked waiting for a
-	// shared detector slot — the overlap the serve-path pipeline buys: a
-	// stream's detect sleep is another stream's pyramid build.
+	// MetricPrefetchedWaiting counts frames whose prefetch render completed
+	// while the stream's detector loop was blocked waiting for a shared
+	// detector slot — the overlap the serve-path pipeline buys: a stream's
+	// detect sleep is another stream's frame render.
 	MetricPrefetchedWaiting = "adavp_frames_prefetched_while_waiting_total"
 	// MetricFramesInFlightWaiting is a gauge of prefetched-but-unconsumed
-	// frames held by a stream currently blocked in slot acquisition. It tops
-	// out at the configured pipeline depth; nonzero values are exactly the
-	// work the stream banked while queueing.
+	// frames a stream's detector and tracker have declared they will read,
+	// set while the stream is blocked in slot acquisition. It tops out at the
+	// configured pipeline depth; nonzero values are exactly the work the
+	// stream banked while queueing.
 	MetricFramesInFlightWaiting = "adavp_frames_in_flight_while_waiting"
 	// MetricSlotUtilization is the fraction of slot-time spent executing
 	// detections over a completed run: total occupancy divided by slots ×

@@ -96,14 +96,17 @@ type Config struct {
 	// Nil runs against a dedicated always-free slot — the single-stream
 	// special case (N=1, K=1).
 	Slots DetectorSlots
-	// PipelineDepth, when >1 in pixel mode, runs the staged frame-prefetch
-	// ahead of the detector/tracker threads: up to PipelineDepth upcoming
-	// frames are rendered (raster only — a pure function of the frame index)
-	// while the stream is blocked elsewhere, most importantly inside
-	// Slots.Acquire. A stream queueing for a shared detector slot keeps its
-	// prefetch stage running, so another stream's detect sleep overlaps with
-	// this stream's renders. Behavior-neutral by construction: consumers that
-	// miss the cache render inline, and the prefetcher never touches the slot
+	// PipelineDepth, when >1 in pixel mode, bounds the frames in flight of
+	// the run's prefetch goroutine. In pixel mode every frame is rendered at
+	// most once per run, by whichever consumer asks first; the prefetcher
+	// renders ahead only frames a consumer has declared it will read — the
+	// detector's predicted next fetch, then the tracker's plan — keeping at
+	// most PipelineDepth of them rendered and unread (raster only — a pure
+	// function of the frame index). It keeps rendering while the stream is
+	// blocked elsewhere, most importantly inside Slots.Acquire, so another
+	// stream's detect sleep overlaps with this stream's renders.
+	// Behavior-neutral by construction: a frame the prefetcher has not
+	// rendered is rendered inline, and the prefetcher never touches the slot
 	// pool, so grant order is exactly as without it. Depth ≤ 1 disables.
 	PipelineDepth int
 }
@@ -184,9 +187,9 @@ type Result struct {
 	// Partial marks a run cut short by context cancellation: Outputs and
 	// the metrics cover the frames that completed before the cut.
 	Partial bool
-	// PrefetchedWhileWaiting counts frames whose prefetch completed while
-	// this stream was blocked in slot acquisition — the overlap the serve
-	// pipeline buys. Always zero when Config.PipelineDepth ≤ 1.
+	// PrefetchedWhileWaiting counts frames whose prefetch render completed
+	// while this stream was blocked in slot acquisition — the overlap the
+	// serve pipeline buys. Always zero when Config.PipelineDepth ≤ 1.
 	PrefetchedWhileWaiting int
 }
 
@@ -238,101 +241,6 @@ func (b *frameBuffer) waitNewer(than int) (int, bool) {
 	return 0, false
 }
 
-// framePrefetcher is the serve-path prefetch stage: a single goroutine that
-// follows the camera cursor and renders the next PipelineDepth frames ahead
-// of it into a bounded cache, so the detector and tracker threads fetch warm
-// rasters instead of rendering on their critical path. The rendered frame is
-// a pure function of its index, so a cache hit and an inline render are
-// interchangeable — the stage is behavior-neutral and needs no draining on
-// shutdown beyond its goroutine exiting with the camera.
-//
-// Its reason to exist is the blocked-stream overlap: while the detector loop
-// is parked inside DetectorSlots.Acquire waiting for a shared slot, the
-// prefetcher keeps rendering — another stream's emulated detect sleep is this
-// stream's pyramid-and-raster budget. The waiting flag brackets exactly that
-// window, and the accounting (frames completed inside it, cache population
-// while it is up) feeds the serve observability.
-type framePrefetcher struct {
-	v     *video.Video
-	depth int
-
-	mu    sync.Mutex
-	cache map[int]core.Frame
-
-	waiting     atomic.Bool
-	builtWhile  atomic.Int64 // frames whose render completed while waiting
-	inflightG   *obs.Gauge
-	prefetchedC *obs.Counter
-}
-
-func newFramePrefetcher(v *video.Video, depth int, reg *obs.Registry, labels []obs.Label) *framePrefetcher {
-	return &framePrefetcher{
-		v:           v,
-		depth:       depth,
-		cache:       make(map[int]core.Frame, 2*depth),
-		inflightG:   reg.Gauge(obs.MetricFramesInFlightWaiting, labels...),
-		prefetchedC: reg.Counter(obs.MetricPrefetchedWaiting, labels...),
-	}
-}
-
-// run follows the camera: each time a newer frame is published, render up to
-// depth frames ahead of it. Exits when the buffer closes (camera done or run
-// cancelled — the camera owns ctx observation).
-//
-//adavp:stage prefetch
-func (pf *framePrefetcher) run(buf *frameBuffer) {
-	n := pf.v.NumFrames()
-	cursor := -1
-	rendered := -1
-	for {
-		latest, ok := buf.waitNewer(cursor)
-		if !ok {
-			return
-		}
-		cursor = latest
-		for i := latest + 1; i <= latest+pf.depth && i < n; i++ {
-			if i <= rendered {
-				continue
-			}
-			f := pf.v.FrameWithPixels(i)
-			rendered = i
-			pf.mu.Lock()
-			pf.cache[i] = f
-			for k := range pf.cache {
-				if k <= i-2*pf.depth {
-					delete(pf.cache, k)
-				}
-			}
-			held := len(pf.cache)
-			pf.mu.Unlock()
-			if pf.waiting.Load() {
-				// This render landed while the stream was queueing for a
-				// detector slot: banked work, the whole point of the stage.
-				pf.builtWhile.Add(1)
-				pf.prefetchedC.Inc()
-				pf.inflightG.Set(float64(held))
-			}
-		}
-	}
-}
-
-// get returns the cached frame for index i, if the prefetcher got there.
-func (pf *framePrefetcher) get(i int) (core.Frame, bool) {
-	pf.mu.Lock()
-	f, ok := pf.cache[i]
-	pf.mu.Unlock()
-	return f, ok
-}
-
-// setWaiting brackets the detector loop's slot acquisition; leaving the
-// window resets the in-flight gauge (the banked frames are being consumed).
-func (pf *framePrefetcher) setWaiting(w bool) {
-	pf.waiting.Store(w)
-	if !w {
-		pf.inflightG.Set(0)
-	}
-}
-
 // cycleWork is one detection hand-off from the detector to the tracker:
 // track frames (RefFrame, EndFrame) against RefDets.
 type cycleWork struct {
@@ -348,6 +256,15 @@ type cycleWork struct {
 // mid-run it returns the *partial* Result alongside the error, so callers
 // can still evaluate the frames that did complete.
 func Run(ctx context.Context, v *video.Video, cfg Config) (*Result, error) {
+	p, err := newPipeline(v, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return p.run(ctx)
+}
+
+// newPipeline builds the shared state of one run.
+func newPipeline(v *video.Video, cfg Config) (*pipeline, error) {
 	cfg = cfg.withDefaults()
 	if v == nil || v.NumFrames() == 0 {
 		return nil, fmt.Errorf("rt: empty video")
@@ -397,7 +314,10 @@ func Run(ctx context.Context, v *video.Video, cfg Config) (*Result, error) {
 	root := rng.New(cfg.Seed)
 	p.latDet = core.NewLatencyModel(root.DeriveString("rt-latency-detector"))
 	p.latTrk = core.NewLatencyModel(root.DeriveString("rt-latency-tracker"))
-	return p.run(ctx)
+	if cfg.PixelMode {
+		p.frames = newFrameStore(v, cfg.PipelineDepth, &p.generation, cfg.Obs, p.obsLabels())
+	}
+	return p, nil
 }
 
 // pipeline holds the shared state of one live run.
@@ -413,8 +333,8 @@ type pipeline struct {
 	sup      *guard.Supervisor
 	fdet     *fault.Detector // non-nil when a fault profile is injected
 	ftrk     *fault.Tracker
-	prefetch *framePrefetcher // non-nil when PipelineDepth>1 in pixel mode
-	start    time.Time
+	frames   *frameStore // non-nil in pixel mode
+	start    time.Time   // run start, shared by the camera and the fetch predictor
 
 	work chan cycleWork
 	// generation counts detector fetches; the tracker cancels its remaining
@@ -443,25 +363,39 @@ func (p *pipeline) obsLabels(ls ...obs.Label) []obs.Label {
 	return append(ls, obs.L("stream", p.cfg.StreamID))
 }
 
-// frame fetches a frame (with pixels only in pixel mode). With the prefetch
-// stage running, a warm render is returned as-is; a miss renders inline —
-// identical bytes either way, the stage only moves the work off this path.
+// frame fetches a frame (with pixels only in pixel mode, through the
+// render-once store: identical bytes whoever renders it).
 func (p *pipeline) frame(i int) core.Frame {
-	if p.cfg.PixelMode {
-		if p.prefetch != nil {
-			if f, ok := p.prefetch.get(i); ok {
-				return f
-			}
-		}
-		return p.v.FrameWithPixels(i)
+	if p.frames != nil {
+		return p.frames.get(i)
 	}
 	return p.v.Frame(i)
 }
 
+// cameraInterval is the scaled capture interval the camera paces by.
+func (p *pipeline) cameraInterval() time.Duration {
+	return max(p.scaled(p.v.FrameInterval()), time.Microsecond)
+}
+
+// predictFetch predicts the frame the detector fetches when it wakes at
+// wake, having just fetched frame cur: the camera's absolute pacing at the
+// wake time, and at least the next frame. -1 when the stream ends first.
+func (p *pipeline) predictFetch(cur int, wake time.Time) int {
+	last := p.v.NumFrames() - 1
+	if cur >= last {
+		return -1
+	}
+	return min(max(int(wake.Sub(p.start)/p.cameraInterval()), cur+1), last)
+}
+
+// scaled maps an emulated component latency to wall time.
+func (p *pipeline) scaled(d time.Duration) time.Duration {
+	return time.Duration(float64(d) * p.cfg.TimeScale)
+}
+
 // sleep emulates a component latency, scaled.
 func (p *pipeline) sleep(d time.Duration) {
-	scaled := time.Duration(float64(d) * p.cfg.TimeScale)
-	if scaled > 0 {
+	if scaled := p.scaled(d); scaled > 0 {
 		time.Sleep(scaled)
 	}
 }
@@ -477,26 +411,21 @@ func (p *pipeline) run(ctx context.Context) (*Result, error) {
 	p.start = time.Now()
 	var wg sync.WaitGroup
 	// Camera (main-thread duty): publish frames at the scaled capture rate.
-	// Pacing is absolute (frame index derived from elapsed wall time) so
-	// coarse OS timer resolution cannot skew the frame rate relative to the
-	// scaled component latencies.
+	// Pacing is absolute (frame index derived from wall time elapsed since
+	// p.start) so coarse OS timer resolution cannot skew the frame rate
+	// relative to the scaled component latencies, and the detector can
+	// predict which frame it will fetch (predictFetch).
 	wg.Add(1)
 	//adavp:stage camera
 	go func() {
 		defer wg.Done()
 		defer p.buffer.close()
-		interval := time.Duration(float64(p.v.FrameInterval()) * p.cfg.TimeScale)
-		if interval <= 0 {
-			interval = time.Microsecond
-		}
-		start := time.Now()
+		interval := p.cameraInterval()
 		ticker := time.NewTicker(maxDur(interval, 200*time.Microsecond))
 		defer ticker.Stop()
-		for {
-			due := int(time.Since(start) / interval)
-			if due >= p.v.NumFrames() {
-				due = p.v.NumFrames() - 1
-			}
+		// Capture starts with frame 0, however late this goroutine is
+		// scheduled after p.start.
+		for due := 0; ; due = min(int(time.Since(p.start)/interval), p.v.NumFrames()-1) {
 			p.buffer.push(due)
 			if due >= p.v.NumFrames()-1 {
 				return
@@ -509,16 +438,16 @@ func (p *pipeline) run(ctx context.Context) (*Result, error) {
 		}
 	}()
 
-	// Frame-prefetch stage (serve-path pipelining): renders ahead of the
-	// camera cursor so slot-wait time is spent building rasters. It exits
-	// with the camera (buffer close), needing no ctx plumbing of its own.
-	if p.cfg.PipelineDepth > 1 && p.cfg.PixelMode {
-		p.prefetch = newFramePrefetcher(p.v, p.cfg.PipelineDepth, p.cfg.Obs, p.obsLabels())
-		wg.Add(1)
+	// Frame-prefetch stage: renders the frames the detector and tracker
+	// declare ahead of them, so slot-wait and detect-sleep time is spent
+	// building rasters. It exits when both consumers have (store close).
+	var prefetchDone sync.WaitGroup
+	if p.frames.prefetching() {
+		prefetchDone.Add(1)
 		//adavp:stage prefetch
 		go func() {
-			defer wg.Done()
-			p.prefetch.run(p.buffer)
+			defer prefetchDone.Done()
+			p.frames.prefetch()
 		}()
 	}
 
@@ -540,6 +469,10 @@ func (p *pipeline) run(ctx context.Context) (*Result, error) {
 	}()
 
 	wg.Wait()
+	if p.frames != nil {
+		p.frames.close()
+	}
+	prefetchDone.Wait()
 	res := p.finish()
 	if err := ctx.Err(); err != nil {
 		res.Partial = true
@@ -645,13 +578,9 @@ func (p *pipeline) detectorLoop(ctx context.Context) {
 		// prefetch stage keeps rendering through this block: the waiting
 		// bracket is what attributes its completions to the queueing window.
 		slotStart := time.Now()
-		if p.prefetch != nil {
-			p.prefetch.setWaiting(true)
-		}
+		p.frames.setWaiting(true)
 		release, err := slots.Acquire(ctx, p.cfg.StreamID, setting, lastCalib)
-		if p.prefetch != nil {
-			p.prefetch.setWaiting(false)
-		}
+		p.frames.setWaiting(false)
 		if err != nil {
 			if ctx.Err() != nil {
 				return
@@ -724,7 +653,13 @@ func (p *pipeline) detectorLoop(ctx context.Context) {
 		detStart := time.Now()
 		dets, newSetting, detected := p.superviseDetect(ctx, frameIdx, setting)
 		setting = newSetting
-		p.sleep(p.latDet.Detect(setting))
+		// Declare the frame the camera will have published when the
+		// emulated inference ends, so the prefetcher renders it during the
+		// sleep (a miss is rendered inline at the next fetch).
+		detSleep := p.latDet.Detect(setting)
+		wake := time.Now().Add(p.scaled(detSleep))
+		p.frames.expectDetect(p.predictFetch(frameIdx, wake), wake)
+		p.sleep(detSleep)
 		occ := time.Since(slotGranted)
 		if occ > p.maxSlotOcc {
 			p.maxSlotOcc = occ
@@ -775,6 +710,13 @@ func (p *pipeline) trackerLoop(ctx context.Context) {
 			return
 		}
 		buffered := w.EndFrame - 1 - w.RefFrame
+		// The plan is fixed before Init so the prefetcher can render the
+		// first tracked frames while Init runs.
+		var plan []int
+		if buffered > 0 {
+			plan = p.selector.Plan(buffered)
+		}
+		p.frames.startCycle(w.Generation, w.RefFrame, plan)
 		if buffered <= 0 {
 			continue
 		}
@@ -787,18 +729,18 @@ func (p *pipeline) trackerLoop(ctx context.Context) {
 		// busy log.
 		p.cfg.Obs.StageHistogram(obs.StageTrack, p.obsLabels()...).ObserveDuration(time.Since(feStart))
 
-		plan := p.selector.Plan(buffered)
 		tracked := 0
 		var velSum float64
 		var velN int
 		cur := w.RefDets
-		for _, idx := range plan {
+		for k, idx := range plan {
+			frameIdx := w.RefFrame + 1 + idx
+			p.frames.stepping(k, frameIdx)
 			// §IV-B: cancel after the current task once the detector has
 			// fetched a newer frame.
 			if p.generation.Load() > w.Generation {
 				break
 			}
-			frameIdx := w.RefFrame + 1 + idx
 			stepStart := time.Now()
 			dets, vel, ok := p.safeTrackStep(p.frame(frameIdx))
 			if !ok {
@@ -871,8 +813,8 @@ func (p *pipeline) finish() *Result {
 		Faults:           p.sup.Stats(),
 		Events:           p.sup.Events(),
 	}
-	if p.prefetch != nil {
-		res.PrefetchedWhileWaiting = int(p.prefetch.builtWhile.Load())
+	if p.frames != nil {
+		res.PrefetchedWhileWaiting = int(p.frames.builtWhile.Load())
 	}
 	if p.fdet != nil {
 		res.Injected = make(map[string]int)

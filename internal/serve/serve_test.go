@@ -260,7 +260,8 @@ func TestServeBackpressureDefers(t *testing.T) {
 // wait and are banked in the per-stream prefetched-while-waiting counter.
 // The prefetcher never touches the pool, so the scheduling contract is
 // unchanged: every stream still completes full-length outputs and the
-// queue drains.
+// queue drains. The in-flight gauge, sampled throughout the run, never
+// exceeds the pipeline depth it is documented to top out at.
 func TestServePipelinedPrefetchWhileWaiting(t *testing.T) {
 	reg := obs.NewRegistry()
 	kinds := []video.Kind{video.KindHighway, video.KindIntersection, video.KindCityStreet}
@@ -281,9 +282,34 @@ func TestServePipelinedPrefetchWhileWaiting(t *testing.T) {
 			},
 		}
 	}
+	const depth = 3
+	gauges := make([]*obs.Gauge, len(specs))
+	for i, sp := range specs {
+		gauges[i] = reg.Gauge(obs.MetricFramesInFlightWaiting, obs.L("stream", sp.ID))
+	}
+	done := make(chan struct{})
+	peak := make(chan float64)
+	go func() {
+		var hi float64
+		for {
+			for _, g := range gauges {
+				hi = max(hi, g.Value())
+			}
+			select {
+			case <-done:
+				peak <- hi
+				return
+			case <-time.After(200 * time.Microsecond):
+			}
+		}
+	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	res, err := Run(ctx, specs, RunConfig{Slots: 1, Obs: reg, PipelineDepth: 3})
+	res, err := Run(ctx, specs, RunConfig{Slots: 1, Obs: reg, PipelineDepth: depth})
+	close(done)
+	if hi := <-peak; hi > depth {
+		t.Errorf("in-flight gauge peaked at %v, above the pipeline depth %d", hi, depth)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
